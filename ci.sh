@@ -24,7 +24,15 @@ echo "== build (release, trace off) =="
 cargo build --release -p scalerpc-bench --no-default-features
 
 echo "== tests (trace on) =="
-cargo test -q
+# Every crate's tests, not only the root package's.
+cargo test -q --workspace
+
+echo "== perfbench tests =="
+# The benchmark is a Cargo package of its own outside the workspace:
+# its Rust tests (output checks, repeat determinism, traced vs untraced)
+# and its runner's Python tests.
+cargo test --release --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench/tests
 
 echo "== tests (trace off) =="
 cargo test -q -p simtrace -p scalerpc-bench --no-default-features

@@ -15,6 +15,7 @@
 //! callback and reports application-visible effects as [`Upcall`]s, so it
 //! stays decoupled from whatever RPC layer runs above it.
 
+use crate::counters::{Counter, CounterSlots};
 use crate::cq::{CompletionQueue, Wc, WcOpcode, WcStatus};
 use crate::error::{VerbError, VerbResult};
 use crate::llc::LlcModel;
@@ -118,16 +119,24 @@ enum PacketKind {
     },
 }
 
-#[derive(Clone, Debug)]
-struct Packet {
+/// What every packet carries besides its payload. Derived packets
+/// (read/atomic responses) copy the request's header, keeping its
+/// src/dst orientation.
+#[derive(Clone, Copy, Debug)]
+struct PacketHdr {
     src_qp: QpId,
     dst_qp: QpId,
     wr_id: WrId,
     signaled: bool,
     /// Trace id stamped by the RPC layer (0 = untraced). Derived
-    /// packets (read/atomic responses) inherit the request's id, so a
-    /// whole round trip shares one id.
+    /// packets inherit the request's id, so a whole round trip shares
+    /// one id.
     trace: TraceId,
+}
+
+#[derive(Debug)]
+struct Packet {
+    hdr: PacketHdr,
     kind: PacketKind,
 }
 
@@ -140,7 +149,8 @@ enum Inner {
     /// Responder-side memory/CQE effects materialize after the DMA write.
     Deliver {
         node: NodeId,
-        writes: Vec<(MrId, usize, Bytes)>,
+        /// The bytes to land: region, offset, data.
+        write: (MrId, usize, Bytes),
         mem_hint: Option<(MrId, usize, usize)>,
         wc: Option<(CqId, Wc)>,
     },
@@ -164,7 +174,7 @@ struct Node {
     llc: LlcModel,
     tx: FifoResource,
     rx: FifoResource,
-    counters: CounterSet,
+    counters: CounterSlots,
     clock: SkewedClock,
 }
 
@@ -262,7 +272,7 @@ impl Fabric {
         let n = &mut self.nodes[node.index()];
         n.tx.acquire(now, dur);
         n.rx.acquire(now, dur);
-        n.counters.inc("NodeStalls");
+        n.counters.inc(Counter::NodeStalls);
     }
 
     // ---- tracing --------------------------------------------------------
@@ -313,7 +323,7 @@ impl Fabric {
             llc: LlcModel::new(self.params.llc_bytes, self.params.ddio_fraction),
             tx: FifoResource::new(),
             rx: FifoResource::new(),
-            counters: CounterSet::new(),
+            counters: CounterSlots::default(),
             clock,
         });
         id
@@ -418,7 +428,10 @@ impl Fabric {
         }
         let cpu = self.params.conn_setup_cpu();
         let node = self.qp(a)?.node();
-        self.nodes[node.index()].counters.inc("ConnSetupsStarted"); // NodeId indexes self.nodes: nodes are never removed
+        // NodeId indexes self.nodes: nodes are never removed
+        self.nodes[node.index()]
+            .counters
+            .inc(Counter::ConnSetupsStarted);
         sched(
             now + cpu + self.params.qp_rts_latency,
             FabricEvent(Inner::ConnRts { a, b }),
@@ -454,7 +467,7 @@ impl Fabric {
             }
         }
         // simlint: allow(R3): NodeId is fabric-allocated, so an OOB index is a driver bug
-        self.nodes[node.index()].counters.inc("NodeCrashes");
+        self.nodes[node.index()].counters.inc(Counter::NodeCrashes);
         torn
     }
 
@@ -530,9 +543,11 @@ impl Fabric {
         Ok(())
     }
 
-    /// A node's counter set (PCM-style PCIe counters plus fabric events).
-    pub fn counters(&self, node: NodeId) -> VerbResult<&CounterSet> {
-        Ok(&self.node(node)?.counters)
+    /// A node's counters (PCM-style PCIe counters plus fabric events),
+    /// read as of now: every counter the node has touched, even if only
+    /// with 0, in name order.
+    pub fn counters(&self, node: NodeId) -> VerbResult<CounterSet> {
+        Ok(self.node(node)?.counters.to_set())
     }
 
     /// A node's local clock.
@@ -735,13 +750,15 @@ impl Fabric {
             *s % 128
         };
         self.qp_mut(qp_id)?.wqe_posted();
-        self.nodes[node.index()].counters.inc("TxVerbs"); // NodeId indexes self.nodes: nodes are never removed
+        self.nodes[node.index()].counters.inc(Counter::TxVerbs); // NodeId indexes self.nodes: nodes are never removed
         let pkt = Packet {
-            src_qp: qp_id,
-            dst_qp,
-            wr_id,
-            signaled,
-            trace: std::mem::take(&mut self.trace_ctx),
+            hdr: PacketHdr {
+                src_qp: qp_id,
+                dst_qp,
+                wr_id,
+                signaled,
+                trace: std::mem::take(&mut self.trace_ctx),
+            },
             kind,
         };
         sched(
@@ -771,12 +788,12 @@ impl Fabric {
     /// for exactly this reason.
     pub fn event_node(&self, ev: &FabricEvent) -> NodeId {
         match &ev.0 {
-            Inner::TxProcess { pkt, .. } => self.qps[pkt.src_qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
+            Inner::TxProcess { pkt, .. } => self.qps[pkt.hdr.src_qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
             Inner::RxProcess { pkt } => match &pkt.kind {
                 PacketKind::ReadResp { .. } | PacketKind::AtomicResp { .. } => {
-                    self.qps[pkt.src_qp.index()].node() // QpId indexes self.qps: QPs error out but are never freed
+                    self.qps[pkt.hdr.src_qp.index()].node() // QpId indexes self.qps: QPs error out but are never freed
                 }
-                _ => self.qps[pkt.dst_qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
+                _ => self.qps[pkt.hdr.dst_qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
             },
             Inner::Deliver { node, .. } => *node,
             Inner::Complete { qp, .. } => self.qps[qp.index()].node(), // QpId indexes self.qps: QPs error out but are never freed
@@ -822,18 +839,16 @@ impl Fabric {
             Inner::RxProcess { pkt } => self.rx_process(now, pkt, sched),
             Inner::Deliver {
                 node,
-                writes,
+                write: (mr, offset, data),
                 mem_hint,
                 wc,
             } => {
-                for (mr, offset, data) in writes {
-                    // In-flight packets toward destroyed regions cannot
-                    // exist: regions are never deregistered. Bounds were
-                    // checked at rx time.
-                    self.mrs[mr.index()]
-                        .write(offset, &data)
-                        .expect("bounds checked at rx"); // simlint: allow(R3): bounds checked at rx; regions are never deregistered
-                }
+                // In-flight packets toward destroyed regions cannot
+                // exist: regions are never deregistered. Bounds were
+                // checked at rx time.
+                self.mrs[mr.index()]
+                    .write(offset, &data)
+                    .expect("bounds checked at rx"); // simlint: allow(R3): bounds checked at rx; regions are never deregistered
                 if let Some((cq, wc)) = wc {
                     self.cqs[cq.index()].push(wc.clone()); // CqId indexes self.cqs: CQs are never destroyed
                     upcalls.push(Upcall::Completion { node, cq, wc });
@@ -866,7 +881,7 @@ impl Fabric {
                     // Mirrors Fabric::connect, pre-validated above.
                     self.qps[a.index()].connect_to(b).expect("validated reset"); // simlint: allow(R3): state checked above
                     self.qps[b.index()].connect_to(a).expect("validated reset"); // simlint: allow(R3): state checked above
-                    self.nodes[node.index()].counters.inc("ConnSetups"); // NodeId indexes self.nodes: nodes are never removed
+                    self.nodes[node.index()].counters.inc(Counter::ConnSetups); // NodeId indexes self.nodes: nodes are never removed
                     self.tracer
                         .instant(InstantKind::ConnSetup, now, a.0 as u64, b.0 as u64);
                     upcalls.push(Upcall::ConnEstablished {
@@ -877,15 +892,18 @@ impl Fabric {
                 } else {
                     // One end crashed or was reused while the modify-QP
                     // chain was in flight; the setup is abandoned.
-                    self.nodes[node.index()].counters.inc("ConnSetupsAborted"); // NodeId indexes self.nodes: nodes are never removed
+                    // NodeId indexes self.nodes: nodes are never removed
+                    self.nodes[node.index()]
+                        .counters
+                        .inc(Counter::ConnSetupsAborted);
                 }
             }
         }
     }
 
     fn tx_process(&mut self, now: SimTime, pkt: Packet, slot: u32, sched: &mut Sched<'_>) {
-        let src_node = self.qps[pkt.src_qp.index()].node(); // QpId indexes self.qps: QPs error out but are never freed
-        let transport = self.qps[pkt.src_qp.index()].transport();
+        let src_node = self.qps[pkt.hdr.src_qp.index()].node(); // QpId indexes self.qps: QPs error out but are never freed
+        let transport = self.qps[pkt.hdr.src_qp.index()].transport();
         let payload = match &pkt.kind {
             PacketKind::Send { data, .. } | PacketKind::Write { data, .. } => data.len(),
             PacketKind::ReadReq { .. } => 16,
@@ -897,13 +915,13 @@ impl Fabric {
         let degrade = self.degrade;
         let lines = FabricParams::lines(payload) as u64;
         let node = &mut self.nodes[src_node.index()]; // NodeId indexes self.nodes: nodes are never removed
-        let access = node.nic.access(pkt.src_qp, slot);
+        let access = node.nic.access(pkt.hdr.src_qp, slot);
         // Payload DMA read from host memory, plus re-fetch of evicted
         // QP context / WQE state.
         node.counters
-            .add("PCIeRdCur", lines + access.extra_pcie_reads());
+            .add(Counter::PcieRdCur, lines + access.extra_pcie_reads());
         if access.qp_miss {
-            node.counters.inc("NicQpMiss");
+            node.counters.inc(Counter::NicQpMiss);
         }
         let mut occupancy = p.nic_tx_base + p.dma_read_per_line * lines;
         if access.qp_miss {
@@ -927,46 +945,49 @@ impl Fabric {
                 InstantKind::QpCacheEvict,
                 now,
                 victim.0 as u64,
-                pkt.src_qp.0 as u64,
+                pkt.hdr.src_qp.0 as u64,
             );
         }
-        if pkt.trace != 0 {
+        if pkt.hdr.trace != 0 {
             // Span covers queueing delay behind earlier WQEs plus the
             // engine's own occupancy (grant.begin - now is the wait).
             self.tracer.span(
-                pkt.trace,
+                pkt.hdr.trace,
                 Stage::TxNic,
                 now,
                 grant.complete,
-                pkt.src_qp.0 as u64,
+                pkt.hdr.src_qp.0 as u64,
             );
             self.tracer.span(
-                pkt.trace,
+                pkt.hdr.trace,
                 Stage::Link,
                 grant.complete,
                 arrival,
-                pkt.src_qp.0 as u64,
+                pkt.hdr.src_qp.0 as u64,
             );
         }
 
         // Unreliable transports complete locally once the NIC has sent
         // the message; reliable ones wait for the ack (scheduled at rx).
         if !transport.is_reliable() {
-            let wc = pkt.signaled.then_some(Wc {
-                wr_id: pkt.wr_id,
+            let wc = pkt.hdr.signaled.then_some(Wc {
+                wr_id: pkt.hdr.wr_id,
                 opcode: match pkt.kind {
                     PacketKind::Send { .. } => WcOpcode::Send,
                     _ => WcOpcode::RdmaWrite,
                 },
                 status: WcStatus::Success,
                 byte_len: payload,
-                qp: pkt.src_qp,
+                qp: pkt.hdr.src_qp,
                 imm: None,
                 src_qp: None,
             });
             sched(
                 grant.complete + p.dma_write_latency,
-                FabricEvent(Inner::Complete { qp: pkt.src_qp, wc }),
+                FabricEvent(Inner::Complete {
+                    qp: pkt.hdr.src_qp,
+                    wc,
+                }),
             );
         }
         sched(arrival, FabricEvent(Inner::RxProcess { pkt }));
@@ -975,41 +996,44 @@ impl Fabric {
     fn requester_completion(
         &mut self,
         at: SimTime,
-        pkt: &Packet,
+        hdr: &PacketHdr,
         status: WcStatus,
         opcode: WcOpcode,
         byte_len: usize,
         sched: &mut Sched<'_>,
     ) {
-        let wc = (pkt.signaled || status != WcStatus::Success).then_some(Wc {
-            wr_id: pkt.wr_id,
+        let wc = (hdr.signaled || status != WcStatus::Success).then_some(Wc {
+            wr_id: hdr.wr_id,
             opcode,
             status,
             byte_len,
-            qp: pkt.src_qp,
+            qp: hdr.src_qp,
             imm: None,
             src_qp: None,
         });
-        sched(at, FabricEvent(Inner::Complete { qp: pkt.src_qp, wc }));
+        sched(at, FabricEvent(Inner::Complete { qp: hdr.src_qp, wc }));
     }
 
     fn rx_process(&mut self, now: SimTime, pkt: Packet, sched: &mut Sched<'_>) {
-        let dst_qp = &self.qps[pkt.dst_qp.index()]; // QpId indexes self.qps: QPs error out but are never freed
+        let Packet { hdr, kind } = pkt;
+        let dst_qp = &self.qps[hdr.dst_qp.index()]; // QpId indexes self.qps: QPs error out but are never freed
         let dst_node_id = dst_qp.node();
         let dst_transport = dst_qp.transport();
         let dst_state = dst_qp.state();
-        let reliable = self.qps[pkt.src_qp.index()].transport().is_reliable(); // QpId indexes self.qps: QPs error out but are never freed
+        let reliable = self.qps[hdr.src_qp.index()].transport().is_reliable(); // QpId indexes self.qps: QPs error out but are never freed
         let p_ack = self.params.ack_latency;
         let p_dma = self.params.dma_write_latency;
 
         if dst_state == QpState::Error {
             // Packets toward a torn-down QP vanish; reliable requesters
             // eventually see an error completion.
-            self.nodes[dst_node_id.index()].counters.inc("DroppedAtRx");
+            self.nodes[dst_node_id.index()]
+                .counters
+                .inc(Counter::DroppedAtRx);
             if reliable {
                 self.requester_completion(
                     now + p_ack,
-                    &pkt,
+                    &hdr,
                     WcStatus::RemoteAccessError,
                     WcOpcode::Send,
                     0,
@@ -1019,19 +1043,19 @@ impl Fabric {
             return;
         }
 
-        match pkt.kind.clone() {
+        match kind {
             PacketKind::Send { data, imm } => {
-                self.nodes[dst_node_id.index()].nic.touch_rx(pkt.dst_qp); // dst node/QP handles index live tables (never removed)
-                let recv = self.qps[pkt.dst_qp.index()].take_recv();
+                self.nodes[dst_node_id.index()].nic.touch_rx(hdr.dst_qp); // dst node/QP handles index live tables (never removed)
+                let recv = self.qps[hdr.dst_qp.index()].take_recv();
                 match recv {
                     Some(r) if r.len >= data.len() => {
                         let node = &mut self.nodes[dst_node_id.index()]; // NodeId indexes self.nodes: nodes are never removed
                         let dma = node.llc.dma_write(r.mr, r.offset, data.len());
-                        node.counters.add("ItoM", dma.full_lines);
-                        node.counters.add("RFO", dma.partial_lines);
-                        node.counters.add("PCIeItoM", dma.allocated);
-                        node.counters.add("DdioAllocBursts", dma.alloc_runs);
-                        node.counters.inc("RxMsgs");
+                        node.counters.add(Counter::ItoM, dma.full_lines);
+                        node.counters.add(Counter::Rfo, dma.partial_lines);
+                        node.counters.add(Counter::PcieItoM, dma.allocated);
+                        node.counters.add(Counter::DdioAllocBursts, dma.alloc_runs);
+                        node.counters.inc(Counter::RxMsgs);
                         let occ = self.params.nic_rx_base + self.params.ddio_cost(dma.allocated);
                         let grant = node.rx.acquire(now, occ);
                         if dma.allocated > 0 {
@@ -1042,20 +1066,20 @@ impl Fabric {
                                 r.mr.0 as u64,
                             );
                         }
-                        if pkt.trace != 0 {
+                        if hdr.trace != 0 {
                             self.tracer.span(
-                                pkt.trace,
+                                hdr.trace,
                                 Stage::RxNic,
                                 now,
                                 grant.complete,
-                                pkt.dst_qp.0 as u64,
+                                hdr.dst_qp.0 as u64,
                             );
                             self.tracer.span(
-                                pkt.trace,
+                                hdr.trace,
                                 Stage::Dma,
                                 grant.complete,
                                 grant.complete + p_dma,
-                                pkt.dst_qp.0 as u64,
+                                hdr.dst_qp.0 as u64,
                             );
                         }
                         let wc = Wc {
@@ -1063,24 +1087,24 @@ impl Fabric {
                             opcode: WcOpcode::Recv,
                             status: WcStatus::Success,
                             byte_len: data.len(),
-                            qp: pkt.dst_qp,
+                            qp: hdr.dst_qp,
                             imm,
-                            src_qp: Some(pkt.src_qp),
+                            src_qp: Some(hdr.src_qp),
                         };
                         let len = data.len();
                         sched(
                             grant.complete + p_dma,
                             FabricEvent(Inner::Deliver {
                                 node: dst_node_id,
-                                writes: vec![(r.mr, r.offset, data)],
+                                write: (r.mr, r.offset, data),
                                 mem_hint: Some((r.mr, r.offset, len)),
-                                wc: Some((self.qps[pkt.dst_qp.index()].recv_cq(), wc)), // QpId indexes self.qps: QPs error out but are never freed
+                                wc: Some((self.qps[hdr.dst_qp.index()].recv_cq(), wc)), // QpId indexes self.qps: QPs error out but are never freed
                             }),
                         );
                         if reliable {
                             self.requester_completion(
                                 grant.complete + p_ack,
-                                &pkt,
+                                &hdr,
                                 WcStatus::Success,
                                 WcOpcode::Send,
                                 0,
@@ -1093,14 +1117,14 @@ impl Fabric {
                         // RC errors back to the requester.
                         let node = &mut self.nodes[dst_node_id.index()];
                         node.counters.inc(if dst_transport == Transport::Ud {
-                            "UdDrops"
+                            Counter::UdDrops
                         } else {
-                            "RnrDrops"
+                            Counter::RnrDrops
                         });
                         if reliable {
                             self.requester_completion(
                                 now + p_ack,
-                                &pkt,
+                                &hdr,
                                 WcStatus::RnrRetryExceeded,
                                 WcOpcode::Send,
                                 0,
@@ -1111,7 +1135,7 @@ impl Fabric {
                 }
             }
             PacketKind::Write { data, remote, imm } => {
-                self.nodes[dst_node_id.index()].nic.touch_rx(pkt.dst_qp); // NodeId indexes self.nodes: nodes are never removed
+                self.nodes[dst_node_id.index()].nic.touch_rx(hdr.dst_qp); // NodeId indexes self.nodes: nodes are never removed
                 let in_bounds = self
                     .mr(remote.mr)
                     .and_then(|mr| mr.check(remote.offset, data.len()))
@@ -1120,11 +1144,11 @@ impl Fabric {
                 if !in_bounds {
                     self.nodes[dst_node_id.index()] // NodeId indexes self.nodes: nodes are never removed
                         .counters
-                        .inc("RemoteAccessErrors");
+                        .inc(Counter::RemoteAccessErrors);
                     if reliable {
                         self.requester_completion(
                             now + p_ack,
-                            &pkt,
+                            &hdr,
                             WcStatus::RemoteAccessError,
                             WcOpcode::RdmaWrite,
                             0,
@@ -1135,13 +1159,13 @@ impl Fabric {
                 }
                 let node = &mut self.nodes[dst_node_id.index()]; // NodeId indexes self.nodes: nodes are never removed
                 let dma = node.llc.dma_write(remote.mr, remote.offset, data.len());
-                node.counters.add("ItoM", dma.full_lines);
-                node.counters.add("RFO", dma.partial_lines);
-                node.counters.add("PCIeItoM", dma.allocated);
-                node.counters.add("DdioAllocBursts", dma.alloc_runs);
-                node.counters.add("DmaHitMain", dma.hit_main);
-                node.counters.add("DmaHitDdio", dma.hit_ddio);
-                node.counters.inc("RxMsgs");
+                node.counters.add(Counter::ItoM, dma.full_lines);
+                node.counters.add(Counter::Rfo, dma.partial_lines);
+                node.counters.add(Counter::PcieItoM, dma.allocated);
+                node.counters.add(Counter::DdioAllocBursts, dma.alloc_runs);
+                node.counters.add(Counter::DmaHitMain, dma.hit_main);
+                node.counters.add(Counter::DmaHitDdio, dma.hit_ddio);
+                node.counters.inc(Counter::RxMsgs);
                 let occ = self.params.nic_rx_base + self.params.ddio_cost(dma.allocated);
                 let grant = node.rx.acquire(now, occ);
                 if dma.allocated > 0 {
@@ -1152,45 +1176,48 @@ impl Fabric {
                         remote.mr.0 as u64,
                     );
                 }
-                if pkt.trace != 0 {
+                if hdr.trace != 0 {
                     self.tracer.span(
-                        pkt.trace,
+                        hdr.trace,
                         Stage::RxNic,
                         now,
                         grant.complete,
-                        pkt.dst_qp.0 as u64,
+                        hdr.dst_qp.0 as u64,
                     );
                     self.tracer.span(
-                        pkt.trace,
+                        hdr.trace,
                         Stage::Dma,
                         grant.complete,
                         grant.complete + p_dma,
-                        pkt.dst_qp.0 as u64,
+                        hdr.dst_qp.0 as u64,
                     );
                 }
                 // write_imm additionally consumes a receive and yields a
                 // receive-side completion carrying the immediate.
                 let wc = if let Some(imm_v) = imm {
                     // QpId indexes self.qps: QPs error out but are never freed
-                    match self.qps[pkt.dst_qp.index()].take_recv() {
+                    match self.qps[hdr.dst_qp.index()].take_recv() {
                         Some(r) => Some((
-                            self.qps[pkt.dst_qp.index()].recv_cq(), // QpId indexes self.qps: QPs error out but are never freed
+                            self.qps[hdr.dst_qp.index()].recv_cq(), // QpId indexes self.qps: QPs error out but are never freed
                             Wc {
                                 wr_id: r.wr_id,
                                 opcode: WcOpcode::RecvRdmaWithImm,
                                 status: WcStatus::Success,
                                 byte_len: data.len(),
-                                qp: pkt.dst_qp,
+                                qp: hdr.dst_qp,
                                 imm: Some(imm_v),
-                                src_qp: Some(pkt.src_qp),
+                                src_qp: Some(hdr.src_qp),
                             },
                         )),
                         None => {
-                            self.nodes[dst_node_id.index()].counters.inc("RnrDrops"); // NodeId indexes self.nodes: nodes are never removed
+                            // NodeId indexes self.nodes: nodes are never removed
+                            self.nodes[dst_node_id.index()]
+                                .counters
+                                .inc(Counter::RnrDrops);
                             if reliable {
                                 self.requester_completion(
                                     now + p_ack,
-                                    &pkt,
+                                    &hdr,
                                     WcStatus::RnrRetryExceeded,
                                     WcOpcode::RdmaWrite,
                                     0,
@@ -1208,7 +1235,7 @@ impl Fabric {
                     grant.complete + p_dma,
                     FabricEvent(Inner::Deliver {
                         node: dst_node_id,
-                        writes: vec![(remote.mr, remote.offset, data)],
+                        write: (remote.mr, remote.offset, data),
                         mem_hint: Some((remote.mr, remote.offset, len)),
                         wc,
                     }),
@@ -1216,7 +1243,7 @@ impl Fabric {
                 if reliable {
                     self.requester_completion(
                         grant.complete + p_ack,
-                        &pkt,
+                        &hdr,
                         WcStatus::Success,
                         WcOpcode::RdmaWrite,
                         0,
@@ -1238,10 +1265,10 @@ impl Fabric {
                 if !ok {
                     self.nodes[dst_node_id.index()] // NodeId indexes self.nodes: nodes are never removed
                         .counters
-                        .inc("RemoteAccessErrors");
+                        .inc(Counter::RemoteAccessErrors);
                     self.requester_completion(
                         now + p_ack,
-                        &pkt,
+                        &hdr,
                         WcStatus::RemoteAccessError,
                         WcOpcode::RdmaRead,
                         0,
@@ -1253,8 +1280,8 @@ impl Fabric {
                 let lines = FabricParams::lines(len) as u64;
                 let degrade = self.degrade;
                 let node = &mut self.nodes[dst_node_id.index()]; // NodeId indexes self.nodes: nodes are never removed
-                node.counters.add("PCIeRdCur", lines);
-                node.counters.inc("RxMsgs");
+                node.counters.add(Counter::PcieRdCur, lines);
+                node.counters.inc(Counter::RxMsgs);
                 let occ = (self.params.nic_rx_base + self.params.dma_read_per_line * lines)
                     .max(ser_cost(&self.params, degrade, len));
                 let grant = node.rx.acquire(now, occ);
@@ -1264,11 +1291,7 @@ impl Fabric {
                         .expect("bounds checked above"), // simlint: allow(R3): bounds checked above
                 );
                 let resp = Packet {
-                    src_qp: pkt.src_qp,
-                    dst_qp: pkt.dst_qp,
-                    wr_id: pkt.wr_id,
-                    signaled: pkt.signaled,
-                    trace: pkt.trace,
+                    hdr,
                     kind: PacketKind::ReadResp {
                         data,
                         local_mr,
@@ -1286,13 +1309,13 @@ impl Fabric {
                 local_offset,
             } => {
                 // Arriving back at the *requester*: land the data locally.
-                let req_node_id = self.qps[pkt.src_qp.index()].node();
+                let req_node_id = self.qps[hdr.src_qp.index()].node();
                 let node = &mut self.nodes[req_node_id.index()]; // NodeId indexes self.nodes: nodes are never removed
                 let dma = node.llc.dma_write(local_mr, local_offset, data.len());
-                node.counters.add("ItoM", dma.full_lines);
-                node.counters.add("RFO", dma.partial_lines);
-                node.counters.add("PCIeItoM", dma.allocated);
-                node.counters.add("DdioAllocBursts", dma.alloc_runs);
+                node.counters.add(Counter::ItoM, dma.full_lines);
+                node.counters.add(Counter::Rfo, dma.partial_lines);
+                node.counters.add(Counter::PcieItoM, dma.allocated);
+                node.counters.add(Counter::DdioAllocBursts, dma.alloc_runs);
                 let occ = self.params.nic_rx_base + self.params.ddio_cost(dma.allocated);
                 let grant = node.rx.acquire(now, occ);
                 if dma.allocated > 0 {
@@ -1303,20 +1326,20 @@ impl Fabric {
                         local_mr.0 as u64,
                     );
                 }
-                if pkt.trace != 0 {
+                if hdr.trace != 0 {
                     self.tracer.span(
-                        pkt.trace,
+                        hdr.trace,
                         Stage::RxNic,
                         now,
                         grant.complete,
-                        pkt.src_qp.0 as u64,
+                        hdr.src_qp.0 as u64,
                     );
                     self.tracer.span(
-                        pkt.trace,
+                        hdr.trace,
                         Stage::Dma,
                         grant.complete,
                         grant.complete + p_dma,
-                        pkt.src_qp.0 as u64,
+                        hdr.src_qp.0 as u64,
                     );
                 }
                 let len = data.len();
@@ -1324,14 +1347,14 @@ impl Fabric {
                     grant.complete + p_dma,
                     FabricEvent(Inner::Deliver {
                         node: req_node_id,
-                        writes: vec![(local_mr, local_offset, data)],
+                        write: (local_mr, local_offset, data),
                         mem_hint: None,
                         wc: None,
                     }),
                 );
                 self.requester_completion(
                     grant.complete + p_dma,
-                    &pkt,
+                    &hdr,
                     WcStatus::Success,
                     WcOpcode::RdmaRead,
                     len,
@@ -1353,10 +1376,10 @@ impl Fabric {
                 if !valid {
                     self.nodes[dst_node_id.index()] // NodeId indexes self.nodes: nodes are never removed
                         .counters
-                        .inc("RemoteAccessErrors");
+                        .inc(Counter::RemoteAccessErrors);
                     self.requester_completion(
                         now + p_ack,
-                        &pkt,
+                        &hdr,
                         WcStatus::RemoteAccessError,
                         WcOpcode::Atomic,
                         0,
@@ -1383,16 +1406,12 @@ impl Fabric {
                     .write_u64(remote.offset, new)
                     .expect("validated"); // simlint: allow(R3): same read_u64 validated above
                 let node = &mut self.nodes[dst_node_id.index()];
-                node.counters.inc("Atomics");
+                node.counters.inc(Counter::Atomics);
                 // Atomic RMW occupies the rx engine noticeably longer.
                 let occ = self.params.nic_rx_base * 3;
                 let grant = node.rx.acquire(now, occ);
                 let resp = Packet {
-                    src_qp: pkt.src_qp,
-                    dst_qp: pkt.dst_qp,
-                    wr_id: pkt.wr_id,
-                    signaled: pkt.signaled,
-                    trace: pkt.trace,
+                    hdr,
                     kind: PacketKind::AtomicResp {
                         old,
                         local_mr,
@@ -1409,25 +1428,25 @@ impl Fabric {
                 local_mr,
                 local_offset,
             } => {
-                let req_node_id = self.qps[pkt.src_qp.index()].node(); // requester QP/node handles index live tables (never removed)
+                let req_node_id = self.qps[hdr.src_qp.index()].node(); // requester QP/node handles index live tables (never removed)
                 let node = &mut self.nodes[req_node_id.index()];
                 let grant = node.rx.acquire(now, self.params.nic_rx_base);
                 sched(
                     grant.complete + p_dma,
                     FabricEvent(Inner::Deliver {
                         node: req_node_id,
-                        writes: vec![(
+                        write: (
                             local_mr,
                             local_offset,
                             Bytes::copy_from_slice(&old.to_le_bytes()),
-                        )],
+                        ),
                         mem_hint: None,
                         wc: None,
                     }),
                 );
                 self.requester_completion(
                     grant.complete + p_dma,
-                    &pkt,
+                    &hdr,
                     WcStatus::Success,
                     WcOpcode::Atomic,
                     8,

@@ -11,9 +11,19 @@
 //! O(log n) — no tombstone set, and `pop` never probes a hash table to
 //! ask "was this cancelled?". Slots are generation-counted, so the
 //! [`EventId`] of an already-fired event can never alias a newer one.
-//! The four-ary layout halves tree depth versus a binary heap and keeps
-//! sift-down's children on one cache line, which matters at the tens of
-//! millions of push/pop pairs a closed-loop simulation performs.
+//!
+//! The slot arena is three parallel vectors (heap position, generation,
+//! payload), so moving a heap entry writes the entry plus one dense
+//! `u32`, never a payload-sized slot. Sifts move a *hole* rather than
+//! swapping: each level costs one entry copy instead of two plus two
+//! position updates. `pop` removes the root bottom-up — the hole walks
+//! to a leaf along the smallest of the four children, then the former
+//! last entry sifts up from there, which saves the per-level comparison
+//! against that entry (it almost always belongs near the bottom). Keys
+//! compare as one `u128` (`time << 64 | seq`). The four-ary layout
+//! halves tree depth versus a binary heap; a level's four 24-byte
+//! children span two cache lines.
+//!
 //! [`bulk_cancel`](EventQueue::bulk_cancel) is the one lazy path: it
 //! tombstones entries instead of restructuring per id, and `pop`/`peek`
 //! discard tombstones at the front.
@@ -52,22 +62,15 @@ struct HeapEnt {
 }
 
 impl HeapEnt {
+    /// `(time, seq)` as one integer, so a comparison is a single
+    /// 128-bit compare instead of a branch per tuple field.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn key(&self) -> u128 {
+        (self.time.as_nanos() as u128) << 64 | self.seq as u128
     }
 }
 
 const TOMBSTONE: u32 = u32::MAX;
-
-struct Slot<E> {
-    /// Bumped when the slot is vacated; stale [`EventId`]s never match.
-    gen: u32,
-    /// Current index of this slot's entry in `heap`.
-    pos: u32,
-    /// Payload; `None` while the slot sits on the free list.
-    event: Option<E>,
-}
 
 /// A future-event list with deterministic ordering, O(log n) push/pop
 /// and O(log n) in-place cancellation.
@@ -88,7 +91,13 @@ struct Slot<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: Vec<HeapEnt>,
-    slots: Vec<Slot<E>>,
+    /// Per slot: current index of the slot's entry in `heap`.
+    pos: Vec<u32>,
+    /// Per slot: bumped when the slot is vacated; stale [`EventId`]s
+    /// never match.
+    gen: Vec<u32>,
+    /// Per slot: payload; `None` while the slot sits on the free list.
+    events: Vec<Option<E>>,
     free: Vec<u32>,
     next_seq: u64,
     tombstones: usize,
@@ -106,7 +115,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
-            slots: Vec::new(),
+            pos: Vec::new(),
+            gen: Vec::new(),
+            events: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             tombstones: 0,
@@ -127,33 +138,8 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is earlier than the current simulation time —
     /// scheduling into the past is always a logic bug.
     pub fn push(&mut self, time: SimTime, event: E) -> EventId {
-        assert!(
-            time >= self.now,
-            "scheduled event at {time:?} before now={:?}",
-            self.now
-        );
         let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].event = Some(event); // s popped from the free list: a live slot index
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    pos: 0,
-                    event: Some(event),
-                });
-                s
-            }
-        };
-        let pos = self.heap.len();
-        self.heap.push(HeapEnt { time, seq, slot });
-        self.slots[slot as usize].pos = pos as u32; // slot was just allocated or reused above: in bounds
-        self.sift_up(pos);
-        EventId::new(slot, self.slots[slot as usize].gen) // slot is in bounds (linked just above)
+        self.insert(time, seq, event)
     }
 
     /// Schedules `event` at `time` under an explicit sequence key
@@ -171,32 +157,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `time` is earlier than the current simulation time.
     pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) -> EventId {
-        assert!(
-            time >= self.now,
-            "scheduled event at {time:?} before now={:?}",
-            self.now
-        );
-        self.next_seq = self.next_seq.max(seq.wrapping_add(1));
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].event = Some(event); // s popped from the free list: a live slot index
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    pos: 0,
-                    event: Some(event),
-                });
-                s
-            }
-        };
-        let pos = self.heap.len();
-        self.heap.push(HeapEnt { time, seq, slot });
-        self.slots[slot as usize].pos = pos as u32; // slot was just allocated or reused above: in bounds
-        self.sift_up(pos);
-        EventId::new(slot, self.slots[slot as usize].gen) // slot is in bounds (linked just above)
+        self.insert(time, seq, event)
     }
 
     /// Rewrites the sequence key of a still-pending event in place
@@ -208,19 +169,14 @@ impl<E> EventQueue<E> {
     /// isolation) to the *final* global numbers computed by the
     /// deterministic cross-shard merge.
     pub fn set_seq(&mut self, id: EventId, seq: u64) -> bool {
-        let slot = id.slot() as usize;
-        let Some(s) = self.slots.get(slot) else {
+        let Some(slot) = self.live_slot(id) else {
             return false;
         };
-        if s.gen != id.gen() || s.event.is_none() {
-            return false;
-        }
-        let pos = s.pos as usize;
         self.next_seq = self.next_seq.max(seq.wrapping_add(1));
-        self.heap[pos].seq = seq; // s.pos is kept current by update_pos on every heap move
-                                  // Exactly one of these applies; the other is a no-op.
-        self.sift_down(pos);
-        self.sift_up(pos);
+        let pos = self.pos[slot] as usize; // live_slot checked the slot; pos tracks every heap move
+        let mut ent = self.heap[pos]; // a live slot's pos is < heap.len()
+        ent.seq = seq;
+        self.restore(pos, ent);
         true
     }
 
@@ -229,17 +185,14 @@ impl<E> EventQueue<E> {
     /// order.
     pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
         loop {
-            let ent = *self.heap.first()?;
-            self.remove_at(0);
+            let ent = self.pop_root()?;
             if ent.slot == TOMBSTONE {
                 self.tombstones -= 1;
                 continue;
             }
-            let event = self.slots[ent.slot as usize] // ent.slot != TOMBSTONE: a live slot index
-                .event
-                .take()
+            let event = self
+                .release(ent.slot)
                 .expect("live heap entry has a payload"); // simlint: allow(R3): non-tombstone heap entries always hold a payload
-            self.vacate_taken(ent.slot);
             self.now = ent.time;
             return Some((ent.time, ent.seq, event));
         }
@@ -250,12 +203,11 @@ impl<E> EventQueue<E> {
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         loop {
             let ent = *self.heap.first()?;
-            if ent.slot == TOMBSTONE {
-                self.remove_at(0);
-                self.tombstones -= 1;
-                continue;
+            if ent.slot != TOMBSTONE {
+                return Some((ent.time, ent.seq));
             }
-            return Some((ent.time, ent.seq));
+            self.pop_root();
+            self.tombstones -= 1;
         }
     }
 
@@ -265,16 +217,16 @@ impl<E> EventQueue<E> {
     /// Cancelling an already-fired, already-cancelled or unknown id is a
     /// true no-op that leaves no bookkeeping behind, and returns `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let slot = id.slot() as usize;
-        let Some(s) = self.slots.get(slot) else {
+        let Some(slot) = self.live_slot(id) else {
             return false;
         };
-        if s.gen != id.gen() || s.event.is_none() {
-            return false;
+        let pos = self.pos[slot] as usize; // live_slot checked the slot; pos tracks every heap move
+        if let Some(last) = self.heap.pop() {
+            if pos < self.heap.len() {
+                self.restore(pos, last);
+            }
         }
-        let pos = s.pos as usize;
-        self.remove_at(pos);
-        self.vacate(id.slot());
+        self.release(id.slot());
         true
     }
 
@@ -285,16 +237,13 @@ impl<E> EventQueue<E> {
     pub fn bulk_cancel(&mut self, ids: impl IntoIterator<Item = EventId>) -> usize {
         let mut cancelled = 0;
         for id in ids {
-            let slot = id.slot() as usize;
-            let Some(s) = self.slots.get(slot) else {
+            let Some(slot) = self.live_slot(id) else {
                 continue;
             };
-            if s.gen != id.gen() || s.event.is_none() {
-                continue;
-            }
-            self.heap[s.pos as usize].slot = TOMBSTONE; // s.pos is kept current by update_pos on every heap move
+            let pos = self.pos[slot] as usize; // live_slot checked the slot; pos tracks every heap move
+            self.heap[pos].slot = TOMBSTONE; // a live slot's pos is < heap.len()
             self.tombstones += 1;
-            self.vacate(id.slot());
+            self.release(id.slot());
             cancelled += 1;
         }
         cancelled
@@ -302,36 +251,14 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest pending event, advancing `now`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let ent = *self.heap.first()?;
-            self.remove_at(0);
-            if ent.slot == TOMBSTONE {
-                self.tombstones -= 1;
-                continue;
-            }
-            let event = self.slots[ent.slot as usize] // ent.slot != TOMBSTONE: a live slot index
-                .event
-                .take()
-                .expect("live heap entry has a payload"); // simlint: allow(R3): non-tombstone heap entries always hold a payload
-            self.vacate_taken(ent.slot);
-            self.now = ent.time;
-            return Some((ent.time, event));
-        }
+        self.pop_with_seq().map(|(time, _, event)| (time, event))
     }
 
     /// Returns the timestamp of the next pending event, if any, without
     /// popping it. Tombstoned (bulk-cancelled) entries at the front are
     /// discarded.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let ent = *self.heap.first()?;
-            if ent.slot == TOMBSTONE {
-                self.remove_at(0);
-                self.tombstones -= 1;
-                continue;
-            }
-            return Some(ent.time);
-        }
+        self.peek_key().map(|(time, _)| time)
     }
 
     /// Number of events still scheduled (bulk-cancelled tombstones not
@@ -352,80 +279,145 @@ impl<E> EventQueue<E> {
         self.tombstones
     }
 
-    /// Returns `slot` to the free list and invalidates outstanding ids.
-    fn vacate(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize]; // slot ids handed out by schedule() index self.slots
-        s.event = None;
-        s.gen = s.gen.wrapping_add(1);
+    /// Stores `event` in a free slot and enters it into the heap under
+    /// `(time, seq)`.
+    fn insert(&mut self, time: SimTime, seq: u64, event: E) -> EventId {
+        assert!(
+            time >= self.now,
+            "scheduled event at {time:?} before now={:?}",
+            self.now
+        );
+        self.next_seq = self.next_seq.max(seq.wrapping_add(1));
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.events[s as usize] = Some(event); // s popped from the free list: a live slot index
+                s
+            }
+            None => {
+                self.pos.push(0);
+                self.gen.push(0);
+                self.events.push(Some(event));
+                self.events.len() as u32 - 1
+            }
+        };
+        let ent = HeapEnt { time, seq, slot };
+        self.heap.push(ent);
+        self.sift_up(self.heap.len() - 1, ent);
+        EventId::new(slot, self.gen[slot as usize]) // slot was allocated or reused just above
+    }
+
+    /// The slot index of `id` if it still names a pending event.
+    fn live_slot(&self, id: EventId) -> Option<usize> {
+        let slot = id.slot() as usize;
+        let live = self.gen.get(slot) == Some(&id.gen())
+            && self.events.get(slot).is_some_and(Option::is_some);
+        live.then_some(slot)
+    }
+
+    /// Returns `slot` to the free list, invalidating outstanding ids,
+    /// and hands back its payload.
+    fn release(&mut self, slot: u32) -> Option<E> {
+        let s = slot as usize;
+        self.gen[s] = self.gen[s].wrapping_add(1); // slot ids handed out by insert() index the arena
         self.free.push(slot);
+        self.events[s].take() // same arena index as gen
     }
 
-    /// Like [`vacate`](Self::vacate) for a slot whose payload was
-    /// already taken by `pop`.
-    fn vacate_taken(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize]; // slot ids handed out by schedule() index self.slots
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
-    }
-
-    /// Removes the heap entry at `pos`, restoring heap order.
-    fn remove_at(&mut self, pos: usize) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(pos, last);
-        self.heap.pop();
-        if pos < last {
-            self.update_pos(pos);
-            // Exactly one of these applies; the other is a no-op.
-            self.sift_down(pos);
-            self.sift_up(pos);
-        }
-    }
-
+    /// Writes `ent` at heap position `pos` and records the move in its
+    /// slot.
     #[inline]
-    fn update_pos(&mut self, pos: usize) {
-        let slot = self.heap[pos].slot; // callers pass heap positions < heap.len()
-        if slot != TOMBSTONE {
-            self.slots[slot as usize].pos = pos as u32; // non-tombstone slots are live indices
+    fn place(&mut self, pos: usize, ent: HeapEnt) {
+        self.heap[pos] = ent; // callers pass heap positions < heap.len()
+        if ent.slot != TOMBSTONE {
+            self.pos[ent.slot as usize] = pos as u32; // non-tombstone slots are live indices
         }
     }
 
-    fn sift_up(&mut self, mut pos: usize) {
+    /// The smallest of the children `first..first + 4` that exist, with
+    /// its key. `first` must be a valid position.
+    ///
+    /// Which child is smallest is a coin toss the branch predictor
+    /// loses, so the running minimum is kept with masks, not branches.
+    #[inline]
+    fn min_child(&self, first: usize) -> (usize, u128) {
+        let end = (first + 4).min(self.heap.len());
+        let mut best = first;
+        let mut best_key = u128::MAX;
+        // callers check first < heap.len(), and end <= heap.len()
+        for (child, ent) in (first..).zip(&self.heap[first..end]) {
+            let key = ent.key();
+            let take = ((key < best_key) as u128).wrapping_neg();
+            best_key = key & take | best_key & !take;
+            best = child & take as usize | best & !(take as usize);
+        }
+        (best, best_key)
+    }
+
+    /// Puts `ent` into the hole at `pos`, sifting whichever way restores
+    /// heap order (at most one direction moves).
+    fn restore(&mut self, pos: usize, ent: HeapEnt) {
+        // pos > 0 guards the parent index
+        if pos > 0 && ent.key() < self.heap[(pos - 1) / 4].key() {
+            self.sift_up(pos, ent);
+        } else {
+            self.sift_down(pos, ent);
+        }
+    }
+
+    /// Moves the hole at `pos` up past every parent larger than `ent`,
+    /// then fills it with `ent`.
+    fn sift_up(&mut self, mut pos: usize, ent: HeapEnt) {
+        let key = ent.key();
         while pos > 0 {
-            let parent = (pos - 1) / 4;
-            // pos > 0 loop guard; parent < pos
-            if self.heap[pos].key() >= self.heap[parent].key() {
+            let parent = self.heap[(pos - 1) / 4]; // pos > 0 loop guard: the parent index is < pos
+            if key >= parent.key() {
                 break;
             }
-            self.heap.swap(pos, parent);
-            self.update_pos(pos);
-            pos = parent;
+            self.place(pos, parent);
+            pos = (pos - 1) / 4;
         }
-        self.update_pos(pos);
+        self.place(pos, ent);
     }
 
-    fn sift_down(&mut self, mut pos: usize) {
-        let len = self.heap.len();
+    /// Moves the hole at `pos` down past every smallest child smaller
+    /// than `ent`, then fills it with `ent`.
+    fn sift_down(&mut self, mut pos: usize, ent: HeapEnt) {
+        let key = ent.key();
         loop {
             let first = 4 * pos + 1;
-            if first >= len {
+            if first >= self.heap.len() {
                 break;
             }
-            let mut best = first;
-            for child in first + 1..(first + 4).min(len) {
-                // child/best < len by the loop bounds
-                if self.heap[child].key() < self.heap[best].key() {
-                    best = child;
-                }
-            }
-            // best/pos < len by the loop bounds
-            if self.heap[best].key() >= self.heap[pos].key() {
+            let (best, best_key) = self.min_child(first);
+            if best_key >= key {
                 break;
             }
-            self.heap.swap(pos, best);
-            self.update_pos(pos);
+            self.place(pos, self.heap[best]); // min_child returns an index < heap.len()
             pos = best;
         }
-        self.update_pos(pos);
+        self.place(pos, ent);
+    }
+
+    /// Removes and returns the root entry, bottom-up: the hole left at
+    /// the root follows the smallest child down to a leaf, and the
+    /// former last entry sifts up from that leaf.
+    fn pop_root(&mut self) -> Option<HeapEnt> {
+        let last = self.heap.pop()?;
+        let Some(&root) = self.heap.first() else {
+            return Some(last);
+        };
+        let mut pos = 0;
+        loop {
+            let first = 4 * pos + 1;
+            if first >= self.heap.len() {
+                break;
+            }
+            let (best, _) = self.min_child(first);
+            self.place(pos, self.heap[best]); // min_child returns an index < heap.len()
+            pos = best;
+        }
+        self.sift_up(pos, last);
+        Some(root)
     }
 }
 
@@ -621,116 +613,204 @@ mod tests {
         assert!(!q.set_seq(b, 0), "cancelled id must reject");
     }
 
-    /// The pre-optimization queue — `BinaryHeap` plus a lazily-consulted
-    /// cancelled set — kept as a reference model for trace equivalence.
+    /// The pre-optimization queue — `BinaryHeap` plus lazily discarded
+    /// stale entries — kept as a reference model for trace equivalence.
+    /// Events are named by a handle; a cancelled handle leaves the live
+    /// map, and a rekeyed one re-enters the heap under its new key, so
+    /// every entry whose key no longer matches the map is stale.
     mod reference {
         use super::SimTime;
         use std::cmp::Reverse;
-        use std::collections::{BinaryHeap, HashSet};
+        use std::collections::{BinaryHeap, HashMap};
 
         pub struct RefQueue<E> {
-            heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
+            heap: BinaryHeap<Reverse<(SimTime, u64, usize, E)>>,
+            /// Pending handle → its current `(time, seq)` key.
+            live: HashMap<usize, (SimTime, u64)>,
+            next_handle: usize,
             next_seq: u64,
-            cancelled: HashSet<u64>,
             pub now: SimTime,
         }
 
-        impl<E: Ord> RefQueue<E> {
+        impl<E: Ord + Clone> RefQueue<E> {
             pub fn new() -> Self {
                 RefQueue {
                     heap: BinaryHeap::new(),
+                    live: HashMap::new(),
+                    next_handle: 0,
                     next_seq: 0,
-                    cancelled: HashSet::new(),
                     now: SimTime::ZERO,
                 }
             }
 
-            pub fn push(&mut self, time: SimTime, event: E) -> u64 {
-                assert!(time >= self.now);
+            /// Plain push; returns the handle and the seq it was given.
+            pub fn push(&mut self, time: SimTime, event: E) -> (usize, u64) {
                 let seq = self.next_seq;
-                self.next_seq += 1;
-                self.heap.push(Reverse((time, seq, event)));
-                seq
+                (self.push_with_seq(time, seq, event), seq)
             }
 
-            pub fn cancel(&mut self, seq: u64) {
-                self.cancelled.insert(seq);
+            pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) -> usize {
+                assert!(time >= self.now);
+                self.next_seq = self.next_seq.max(seq + 1);
+                let h = self.next_handle;
+                self.next_handle += 1;
+                self.live.insert(h, (time, seq));
+                self.heap.push(Reverse((time, seq, h, event)));
+                h
             }
 
-            pub fn pop(&mut self) -> Option<(SimTime, E)> {
-                while let Some(Reverse((t, seq, e))) = self.heap.pop() {
-                    if self.cancelled.remove(&seq) {
-                        continue;
+            pub fn cancel(&mut self, h: usize) -> bool {
+                self.live.remove(&h).is_some()
+            }
+
+            pub fn set_seq(&mut self, h: usize, seq: u64) -> bool {
+                let Some(&(time, old)) = self.live.get(&h) else {
+                    return false;
+                };
+                self.next_seq = self.next_seq.max(seq + 1);
+                let event = self
+                    .heap
+                    .iter()
+                    .find(|Reverse((t, s, hh, _))| (*t, *s, *hh) == (time, old, h))
+                    .map(|Reverse((.., e))| e.clone())
+                    .expect("live handle has an entry");
+                self.live.insert(h, (time, seq));
+                self.heap.push(Reverse((time, seq, h, event)));
+                true
+            }
+
+            /// Discards stale entries at the front.
+            fn skip_stale(&mut self) {
+                while let Some(Reverse((t, s, h, _))) = self.heap.peek() {
+                    if self.live.get(h) == Some(&(*t, *s)) {
+                        return;
                     }
-                    self.now = t;
-                    return Some((t, e));
+                    self.heap.pop();
                 }
-                None
             }
 
-            pub fn peek_time(&mut self) -> Option<SimTime> {
-                while let Some(Reverse((t, seq, _))) = self.heap.peek() {
-                    if self.cancelled.contains(seq) {
-                        let seq = *seq;
-                        self.heap.pop();
-                        self.cancelled.remove(&seq);
-                        continue;
-                    }
-                    return Some(*t);
-                }
-                None
+            pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
+                self.skip_stale();
+                let Reverse((t, seq, h, e)) = self.heap.pop()?;
+                self.live.remove(&h);
+                self.now = t;
+                Some((t, seq, e))
+            }
+
+            pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+                self.skip_stale();
+                self.heap.peek().map(|Reverse((t, s, ..))| (*t, *s))
+            }
+
+            pub fn len(&self) -> usize {
+                self.live.len()
             }
         }
     }
 
     proptest::proptest! {
-        /// The indexed heap must replay any interleaved
-        /// push/cancel/pop/peek script identically to the old
-        /// binary-heap-plus-tombstones queue.
+        /// The indexed heap must replay any interleaved script of plain
+        /// and explicit-seq pushes, pops, cancels, bulk cancels, rekeys
+        /// and peeks identically to the binary-heap reference. Explicit
+        /// seqs are kept unique (as the sharded engine's are), so the
+        /// pop order is fully determined by the keys.
         #[test]
         fn matches_binary_heap_reference_trace(
-            script in proptest::collection::vec((0u8..4, 0u64..64), 1..400),
+            script in proptest::collection::vec((0u8..10, 0u64..64), 1..400),
         ) {
             let mut fast = EventQueue::new();
             let mut slow = reference::RefQueue::new();
+            // Parallel handles: fast_ids[i] and slow_ids[i] name one event.
             let mut fast_ids = Vec::new();
             let mut slow_ids = Vec::new();
+            let mut used_seqs = std::collections::HashSet::new();
+            // Times spread over only 8 ns, so most events share their
+            // instant with others and the seq decides their order. Even
+            // args draw seqs among the plain pushes' own (a final seq
+            // resolving a provisional one); odd args draw seqs past
+            // every plain seq so far, which the plain pushes after them
+            // then interleave with.
+            let fresh_seq = |arg: u64, used: &std::collections::HashSet<u64>| {
+                let mut seq = if arg & 1 == 0 { arg * 7 } else { (1 << 40) + arg * 7 };
+                while used.contains(&seq) {
+                    seq += 1;
+                }
+                seq
+            };
             let mut payload = 0u64;
             for (op, arg) in script {
                 match op {
                     0 | 1 => {
-                        // Push at now + arg (always legal).
-                        let t = SimTime(fast.now().as_nanos() + arg);
+                        // Push at or after now (always legal).
+                        let t = SimTime(fast.now().as_nanos() + arg % 8);
                         fast_ids.push(fast.push(t, payload));
-                        slow_ids.push(slow.push(t, payload));
+                        let (h, seq) = slow.push(t, payload);
+                        slow_ids.push(h);
+                        proptest::prop_assert!(used_seqs.insert(seq), "plain seq {} reused", seq);
                         payload += 1;
                     }
                     2 => {
-                        proptest::prop_assert_eq!(fast.pop(), slow.pop());
+                        let t = SimTime(fast.now().as_nanos() + arg / 8);
+                        let seq = fresh_seq(arg, &used_seqs);
+                        used_seqs.insert(seq);
+                        fast_ids.push(fast.push_with_seq(t, seq, payload));
+                        slow_ids.push(slow.push_with_seq(t, seq, payload));
+                        payload += 1;
+                    }
+                    3 => {
+                        let want = slow.pop_with_seq().map(|(t, _, e)| (t, e));
+                        proptest::prop_assert_eq!(fast.pop(), want);
+                        proptest::prop_assert_eq!(fast.now(), slow.now);
+                    }
+                    4 => {
+                        proptest::prop_assert_eq!(fast.pop_with_seq(), slow.pop_with_seq());
                         proptest::prop_assert_eq!(fast.now(), slow.now);
                     }
                     _ if fast_ids.is_empty() => {}
-                    _ => {
-                        // Cancel an arbitrary id (may be fired already —
-                        // the reference tolerates that only when the
-                        // fast queue rejects it, mirroring the fixed
-                        // no-op contract).
+                    5 | 6 => {
+                        // Cancel an arbitrary id, possibly fired or
+                        // cancelled already: both must agree it is a no-op.
                         let i = (arg as usize) % fast_ids.len();
-                        if fast.cancel(fast_ids[i]) {
-                            slow.cancel(slow_ids[i]);
+                        proptest::prop_assert_eq!(fast.cancel(fast_ids[i]), slow.cancel(slow_ids[i]));
+                    }
+                    7 => {
+                        // Rekey an arbitrary id to a fresh seq.
+                        let i = (arg as usize) % fast_ids.len();
+                        let seq = fresh_seq(arg, &used_seqs);
+                        let rekeyed = fast.set_seq(fast_ids[i], seq);
+                        proptest::prop_assert_eq!(rekeyed, slow.set_seq(slow_ids[i], seq));
+                        if rekeyed {
+                            used_seqs.insert(seq);
                         }
                     }
+                    _ => {
+                        // Bulk-cancel every third id from an offset, plus
+                        // one repeat: stale and duplicate ids count zero.
+                        let picks: Vec<usize> = (arg as usize % 3..fast_ids.len())
+                            .step_by(3)
+                            .chain([arg as usize % fast_ids.len()])
+                            .collect();
+                        let n = fast.bulk_cancel(picks.iter().map(|&i| fast_ids[i]));
+                        let m = picks.iter().filter(|&&i| slow.cancel(slow_ids[i])).count();
+                        proptest::prop_assert_eq!(n, m);
+                    }
                 }
-                proptest::prop_assert_eq!(fast.peek_time(), slow.peek_time());
+                proptest::prop_assert_eq!(fast.len(), slow.len());
+                if arg & 1 == 0 {
+                    proptest::prop_assert_eq!(fast.peek_key(), slow.peek_key());
+                } else {
+                    proptest::prop_assert_eq!(fast.peek_time(), slow.peek_key().map(|(t, _)| t));
+                }
             }
             // Drain both queues to the end.
             loop {
-                let (f, s) = (fast.pop(), slow.pop());
+                let (f, s) = (fast.pop_with_seq(), slow.pop_with_seq());
                 proptest::prop_assert_eq!(&f, &s);
                 if f.is_none() {
                     break;
                 }
             }
+            proptest::prop_assert_eq!(fast.tombstones(), 0);
         }
     }
 }

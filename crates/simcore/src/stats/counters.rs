@@ -7,10 +7,10 @@
 /// A set of named `u64` counters with snapshot/delta support.
 ///
 /// Stored as a name-sorted vector, so iteration (and therefore report
-/// output) is deterministically ordered. A simulation touches only a
-/// dozen or so distinct counter names but bumps them on every event, so
-/// a binary search over one small contiguous array beats the pointer
-/// chasing of a tree or hash map on the hot path.
+/// output) is deterministically ordered. Each [`add`](Self::add)
+/// binary-searches the names, comparing strings, which is fine for
+/// snapshots and reports but too slow for a per-packet path: the fabric
+/// bumps typed counter slots and builds a `CounterSet` when one is read.
 ///
 /// # Examples
 ///

@@ -209,6 +209,7 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/simcore/src/event.rs",
     "crates/simcore/src/resource.rs",
     "crates/rdma-fabric/src/fabric.rs",
+    "crates/rdma-fabric/src/counters.rs",
     "crates/rdma-fabric/src/llc.rs",
     "crates/rdma-fabric/src/niccache.rs",
     "crates/rdma-fabric/src/lru.rs",
